@@ -1287,16 +1287,6 @@ impl<A: Automaton> Engine<A> {
             + self.fault.as_ref().map_or(0, |f| f.delayed.len())
     }
 
-    /// Fast-forward a quiet network by `ticks` clock pulses. A quiet
-    /// network stays quiet (the deadline contract makes every step a
-    /// no-op), so only the clock advances — this lets dynamic timelines
-    /// idle to a far-future mutation tick in O(1). Panics if the network
-    /// is not quiet.
-    pub fn skip_quiet_ticks(&mut self, ticks: u64) {
-        assert!(self.is_quiet(), "can only skip ticks on a quiet network");
-        self.tick += ticks;
-    }
-
     /// The earliest armed wake deadline, if any. Drops stale timer-heap
     /// entries as they surface (amortized O(1) in the event modes; a
     /// linear scan in Dense — which pays O(N) per tick anyway — and
@@ -1340,9 +1330,10 @@ impl<A: Automaton> Engine<A> {
     /// Fast-forward a **lull**: if the coming tick would step nothing (no
     /// signal in flight, no wake deadline due), jump the clock straight to
     /// the earliest armed deadline — or to `limit`, whichever is smaller —
-    /// in O(1). Generalizes [`Engine::skip_quiet_ticks`]: a fully quiet
-    /// network skips to `limit`; a network merely waiting out speed-timer
-    /// dwells skips to the next deadline. Skipped ticks are pure no-ops by
+    /// in O(1). A fully quiet network skips to `limit` (a quiet network
+    /// stays quiet, so dynamic timelines idle to a far-future mutation
+    /// tick this way); a network merely waiting out speed-timer dwells
+    /// skips to the next deadline. Skipped ticks are pure no-ops by
     /// the deadline contract, and the decision depends only on
     /// mode-uniform frontier state, so timelines that skip stay
     /// bit-identical across all three engine modes. Returns the number of

@@ -805,10 +805,13 @@ fn cmd_compare(args: &[String]) {
 // harness bench (engine throughput records)
 // ---------------------------------------------------------------------------
 
-/// One perf measurement: deterministic tick count plus median wall time.
+/// One perf measurement: deterministic tick count plus the median wall
+/// time and its spread over reps.
 struct BenchMeasure {
     ticks: u64,
     median_secs: f64,
+    /// (slowest − fastest) / median wall time; 0 for a single rep.
+    spread: f64,
 }
 
 /// Run `f` `reps` times and keep the median wall time. `f` times its own
@@ -823,9 +826,11 @@ fn measure(reps: usize, mut f: impl FnMut() -> (u64, f64)) -> BenchMeasure {
         walls.push(secs);
     }
     walls.sort_by(|a, b| a.partial_cmp(b).expect("wall times are finite"));
+    let median_secs = walls[(walls.len() - 1) / 2];
     BenchMeasure {
         ticks,
-        median_secs: walls[(walls.len() - 1) / 2],
+        median_secs,
+        spread: (walls[walls.len() - 1] - walls[0]) / median_secs.max(f64::MIN_POSITIVE),
     }
 }
 
@@ -855,7 +860,8 @@ fn peak_rss_kb() -> u64 {
 }
 
 /// `harness bench`: the e2/e8 engine workloads as machine-readable perf
-/// records — median ticks/sec per spec × mode — written as grid-shaped
+/// records — median ticks/sec per spec × mode, with the wall-time spread
+/// over reps — written as grid-shaped
 /// JSONL rows (default `BENCH_engine.json`) so `harness compare` can gate
 /// the deterministic tick counts against a committed baseline while the
 /// wall-time fields track the perf trajectory.
@@ -914,6 +920,7 @@ fn cmd_bench(args: &[String]) {
         "mode",
         "ticks",
         "wall ms",
+        "spread",
         "Mticks/s",
         "vs dense",
         "peak RSS MB",
@@ -946,6 +953,7 @@ fn cmd_bench(args: &[String]) {
                     mode.name().into(),
                     m.ticks.to_string(),
                     format!("{:.2}", m.median_secs * 1e3),
+                    format!("{:.0}%", m.spread * 100.0),
                     format!("{:.2}", tps / 1e6),
                     if dense_tps > 0.0 {
                         format!("{speedup:.1}x")
@@ -974,6 +982,7 @@ fn cmd_bench(args: &[String]) {
                     "rounds": m.ticks,
                     "verified": true,
                     "wall_ms": m.median_secs * 1e3,
+                    "wall_spread": m.spread,
                     "ticks_per_sec": tps,
                     "speedup_vs_dense": speedup,
                     "peak_rss_kb": rss_kb,

@@ -1,12 +1,14 @@
-//! Engine-mode equivalence through the [`GtdSession`] builder: the three
-//! execution strategies must produce identical tick-stamped transcripts,
-//! identical maps and identical tick counts on every workload family —
-//! including from non-default roots — and a tick budget must turn a
+//! Engine-mode and driver equivalence through the [`GtdSession`] builder:
+//! the three execution strategies must produce identical tick-stamped
+//! transcripts, identical maps and identical tick counts on every workload
+//! family — including from non-default roots — every driver must replay
+//! the plain run when nothing disturbs it, and a tick budget must turn a
 //! too-long run into a structured error instead of a hang.
 
 use gtd::{
-    generators, EngineMode, GtdError, GtdSession, NodeId, PreconditionViolation, Topology,
-    TopologyBuilder,
+    default_tick_budget, generators, EngineMode, EpochStatus, FaultPlane, GtdError, GtdSession,
+    MutationSchedule, NodeId, PreconditionViolation, RunOutcome, Topology, TopologyBuilder,
+    TranscriptEvent,
 };
 
 const MODES: [EngineMode; 3] = [EngineMode::Dense, EngineMode::Sparse, EngineMode::Parallel];
@@ -26,37 +28,77 @@ fn families() -> Vec<(&'static str, Topology, NodeId)> {
     ]
 }
 
+/// Run `drive` on a session with an observer attached; returns the
+/// outcome and the observed `(tick, event)` stream.
+fn observed<T>(
+    topo: &Topology,
+    root: NodeId,
+    mode: EngineMode,
+    drive: impl FnOnce(GtdSession<'_>) -> T,
+) -> (T, Vec<(u64, TranscriptEvent)>) {
+    let mut stream = Vec::new();
+    let session = GtdSession::on(topo).root(root).mode(mode);
+    let out = drive(session.observer(|t, e| stream.push((t, e))));
+    (out, stream)
+}
+
 #[test]
 fn modes_agree_on_every_family_with_non_zero_roots() {
     for (name, topo, root) in families() {
-        let runs: Vec<_> = MODES
-            .iter()
-            .map(|&mode| {
-                GtdSession::on(&topo)
-                    .root(root)
-                    .mode(mode)
-                    .run()
-                    .unwrap_or_else(|e| panic!("{name} ({mode:?}, root {root}): {e}"))
-            })
-            .collect();
-        for (run, &mode) in runs.iter().zip(&MODES) {
+        let mut dense: Option<RunOutcome> = None;
+        for mode in MODES {
+            let ctx = format!("{name} ({mode:?}, root {root})");
+            let (run, stream) = observed(&topo, root, mode, |s| s.run());
+            let run = run.unwrap_or_else(|e| panic!("{ctx}: {e}"));
             run.map
                 .verify_against(&topo, root)
-                .unwrap_or_else(|e| panic!("{name} ({mode:?}): inexact map: {e}"));
-            assert!(run.clean_at_end, "{name} ({mode:?}): Lemma 4.2 violated");
-        }
-        let dense = &runs[0];
-        for (run, &mode) in runs.iter().zip(&MODES).skip(1) {
-            assert_eq!(run.map, dense.map, "{name} ({mode:?}): maps differ");
+                .unwrap_or_else(|e| panic!("{ctx}: inexact map: {e}"));
+            assert!(run.clean_at_end, "{ctx}: Lemma 4.2 violated");
+            assert_eq!(stream, run.events, "{ctx}: observer vs transcript");
+
+            // Without faults or mutations every driver replays the plain
+            // run: they are configurations of one timeline.
+            let plain = (run.ticks, Some(run.map.clone()), run.events.clone(), stream);
+            let (rounds, s) = observed(&topo, root, mode, |s| s.run_repeated(1));
+            let rep = rounds.unwrap().remove(0);
+            let rep = (rep.ticks, Some(rep.map), rep.events, s);
+            assert_eq!(rep, plain, "{ctx}: run_repeated(1)");
+
+            let (res, s) = observed(&topo, root, mode, |s| s.run_resilient());
+            let res = res.unwrap();
             assert_eq!(
-                run.ticks, dense.ticks,
-                "{name} ({mode:?}): tick counts differ"
+                (res.status, res.attempts.len(), res.stats),
+                (EpochStatus::Verified, 1, run.stats),
+                "{ctx}: run_resilient status, attempts and stats"
             );
+            assert_eq!(
+                (res.ticks, res.map, res.events, s),
+                plain,
+                "{ctx}: run_resilient"
+            );
+
+            let (dynamic, s) = observed(&topo, root, mode, |s| {
+                s.run_dynamic(&MutationSchedule::new())
+            });
+            let mut dynamic = dynamic.unwrap();
+            assert!(dynamic.mutations.is_empty() && dynamic.final_topology == topo);
+            let epoch = dynamic.epochs.pop().unwrap();
+            assert!(dynamic.epochs.is_empty(), "{ctx}: run_dynamic remapped");
+            assert_eq!(epoch.status, EpochStatus::Verified, "{ctx}: run_dynamic");
+            let epoch = (epoch.ticks(), epoch.map, epoch.events, s);
+            assert_eq!(epoch, plain, "{ctx}: run_dynamic");
+
+            let Some(dense) = &dense else {
+                dense = Some(run);
+                continue;
+            };
+            assert_eq!(run.map, dense.map, "{ctx}: maps differ");
+            assert_eq!(run.ticks, dense.ticks, "{ctx}: tick counts differ");
             assert_eq!(
                 run.events, dense.events,
-                "{name} ({mode:?}): tick-stamped transcripts differ"
+                "{ctx}: tick-stamped transcripts differ"
             );
-            assert_eq!(run.stats, dense.stats, "{name} ({mode:?}): stats differ");
+            assert_eq!(run.stats, dense.stats, "{ctx}: stats differ");
         }
     }
 }
@@ -91,6 +133,36 @@ fn tick_budget_exhaustion_errors_instead_of_hanging() {
                 assert!(ticks >= 40, "budget error must report the spent ticks")
             }
             other => panic!("({mode:?}) expected BudgetExhausted, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn total_loss_idles_a_static_run_out_to_its_budget() {
+    // A plane that destroys every character kills the DFS token at once;
+    // the quiet network can never terminate, so a static run spends its
+    // whole budget in every mode.
+    let topo = generators::ring(12);
+    let plane = FaultPlane {
+        loss: 1.0,
+        delay_min: 0,
+        delay_max: 0,
+        seed: 1,
+    };
+    assert_eq!(default_tick_budget(&topo), 17_800);
+    for mode in MODES {
+        for (budget, session) in [
+            (17_800, GtdSession::on(&topo)),
+            (5_000, GtdSession::on(&topo).tick_budget(5_000)),
+        ] {
+            assert_eq!(
+                session.mode(mode).faults(plane).run().unwrap_err(),
+                GtdError::BudgetExhausted {
+                    budget,
+                    ticks: budget
+                },
+                "({mode:?}, budget {budget})"
+            );
         }
     }
 }
