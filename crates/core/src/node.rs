@@ -26,8 +26,8 @@
 use crate::events::{RcaReport, TranscriptEvent};
 use gtd_netsim::{Automaton, NodeMeta, Port, PortMask, StepCtx};
 use gtd_snake::{
-    BcaMsg, DfsToken, DyingPassage, GrowEmit, GrowRelay, Hop, LoopMarks, LoopToken, MarkPair,
-    Signal, SnakeChar, SnakeKind, SPEED1_DWELL,
+    BcaMsg, Channels, DfsToken, DyingPassage, GrowEmit, GrowRelay, Hop, LoopMarks, LoopToken,
+    MarkPair, Signal, SnakeChar, SnakeKind, SPEED1_DWELL,
 };
 
 type Ctx<'a> = StepCtx<'a, Signal, TranscriptEvent>;
@@ -437,7 +437,7 @@ impl ProtocolNode {
 
     fn broadcast_kill(&self, outputs: &mut [Signal]) {
         for o in self.out_ports.iter() {
-            outputs[o.idx()].kill = true;
+            outputs[o.idx()].set_kill();
         }
     }
 
@@ -863,7 +863,7 @@ impl ProtocolNode {
                 let Some(succ) = self.marks.succ(MarkPair::First) else {
                     return; // marks half-erased by a mutation
                 };
-                ctx.outputs[succ.idx()].unmark = true;
+                ctx.outputs[succ.idx()].set_unmark();
                 self.rca = RcaState::AwaitUnmarkReturn { after };
                 return;
             }
@@ -874,7 +874,7 @@ impl ProtocolNode {
             let Some(succ) = self.marks.succ(MarkPair::First) else {
                 return; // marks half-erased by a mutation
             };
-            ctx.outputs[succ.idx()].unmark = true;
+            ctx.outputs[succ.idx()].set_unmark();
             self.marks.clear();
             self.dying_bd.reset();
             self.bca = BcaState::Idle;
@@ -941,7 +941,7 @@ impl ProtocolNode {
         }
         // Ordinary forwarding: pass (speed-3) and forget the designations.
         if let Some(route) = self.marks.unmark(p) {
-            ctx.outputs[route.succ.idx()].unmark = true;
+            ctx.outputs[route.succ.idx()].set_unmark();
             match route.pair {
                 MarkPair::First => {
                     self.dying_id.reset();
@@ -1080,12 +1080,10 @@ impl Automaton for ProtocolNode {
         // consumed and lost, nothing is emitted, and the engine is asked
         // to wake us exactly when the downtime expires (so the amnesiac
         // power-on lands on the same tick in every engine mode).
+        let delta = self.delta as usize;
         if now < self.offline_until {
-            let blank = Signal::default();
-            self.dropped_carry += ctx.inputs[..self.delta as usize]
-                .iter()
-                .filter(|s| **s != blank)
-                .count() as u64;
+            self.dropped_carry +=
+                ctx.inputs[..delta].iter().filter(|s| !s.is_blank()).count() as u64;
             ctx.request_restep_at(self.offline_until);
             return;
         }
@@ -1109,6 +1107,10 @@ impl Automaton for ProtocolNode {
             }
         }
 
+        // Which channels arrived on any in-port: a typical step carries one
+        // character of one kind, so most input phases below are skipped.
+        let ch = Channels::of(&ctx.inputs[..delta]);
+
         // Phase 0: RESET flood (re-mapping extension). Processed before
         // everything else so a DFS token arriving the same tick sees a
         // cleared slate.
@@ -1123,13 +1125,13 @@ impl Automaton for ProtocolNode {
                 done: false,
             };
             for o in self.out_ports.iter() {
-                ctx.outputs[o.idx()].reset = Some(self.reset_parity);
+                ctx.outputs[o.idx()].set_reset(self.reset_parity);
             }
             ctx.events.push(TranscriptEvent::Start);
             self.advance_dfs(now, ctx);
         }
-        if !self.is_root {
-            let stamp = (0..self.delta as usize).find_map(|i| ctx.inputs[i].reset);
+        if !self.is_root && ch.reset() {
+            let stamp = (0..delta).find_map(|i| ctx.inputs[i].reset());
             if let Some(p) = stamp {
                 if p != self.reset_parity {
                     // first copy of the new round: clear, stamp, forward.
@@ -1142,7 +1144,7 @@ impl Automaton for ProtocolNode {
                         done: false,
                     };
                     for o in self.out_ports.iter() {
-                        ctx.outputs[o.idx()].reset = Some(p);
+                        ctx.outputs[o.idx()].set_reset(p);
                     }
                 }
             }
@@ -1150,9 +1152,11 @@ impl Automaton for ProtocolNode {
 
         // Phase 1: KILL tokens — erasure wins ties with arriving characters.
         let mut killed = false;
-        for i in 0..self.delta as usize {
-            if ctx.inputs[i].kill && self.kill_accepted(Port(i as u8)) {
-                killed = true;
+        if ch.kill() {
+            for i in 0..delta {
+                if ctx.inputs[i].kill() && self.kill_accepted(Port(i as u8)) {
+                    killed = true;
+                }
             }
         }
         if killed {
@@ -1165,8 +1169,8 @@ impl Automaton for ProtocolNode {
 
         // Phase 2: growing-snake characters (ascending port order ⇒ the
         // paper's lowest-in-port tie-break).
-        if !killed {
-            for i in 0..self.delta as usize {
+        if !killed && ch.any_snake(&SnakeKind::GROWING) {
+            for i in 0..delta {
                 let p = Port(i as u8);
                 let sig = ctx.inputs[i];
                 if let Some(c) = sig.snake(SnakeKind::Ig) {
@@ -1182,39 +1186,47 @@ impl Automaton for ProtocolNode {
         }
 
         // Phase 3: dying-snake characters.
-        for i in 0..self.delta as usize {
-            let p = Port(i as u8);
-            let sig = ctx.inputs[i];
-            if let Some(c) = sig.snake(SnakeKind::Id) {
-                self.on_id(p, c, now, ctx);
-            }
-            if let Some(c) = sig.snake(SnakeKind::Od) {
-                self.on_od(p, c, now, ctx);
-            }
-            if let Some(c) = sig.snake(SnakeKind::Bd) {
-                self.on_bd(p, c, now, ctx);
+        if ch.any_snake(&SnakeKind::DYING) {
+            for i in 0..delta {
+                let p = Port(i as u8);
+                let sig = ctx.inputs[i];
+                if let Some(c) = sig.snake(SnakeKind::Id) {
+                    self.on_id(p, c, now, ctx);
+                }
+                if let Some(c) = sig.snake(SnakeKind::Od) {
+                    self.on_od(p, c, now, ctx);
+                }
+                if let Some(c) = sig.snake(SnakeKind::Bd) {
+                    self.on_bd(p, c, now, ctx);
+                }
             }
         }
 
         // Phase 4: loop tokens (speed-1).
-        for i in 0..self.delta as usize {
-            if let Some(tok) = ctx.inputs[i].loop_tok {
-                self.on_loop(Port(i as u8), tok, now, ctx);
+        if ch.loop_tok() {
+            for i in 0..delta {
+                if let Some(tok) = ctx.inputs[i].loop_tok() {
+                    self.on_loop(Port(i as u8), tok, now, ctx);
+                }
             }
         }
 
         // Phase 5: UNMARK tokens (speed-3: processed and forwarded within
         // the same tick).
-        for i in 0..self.delta as usize {
-            if ctx.inputs[i].unmark {
-                self.on_unmark(Port(i as u8), now, ctx);
+        if ch.unmark() {
+            for i in 0..delta {
+                if ctx.inputs[i].unmark() {
+                    self.on_unmark(Port(i as u8), now, ctx);
+                }
             }
         }
 
         // Phase 6: the DFS token.
-        for i in 0..self.delta as usize {
-            if let Some(d) = ctx.inputs[i].dfs {
-                self.on_dfs_forward(d.sender_out_port, Port(i as u8), now, ctx);
+        if ch.dfs() {
+            for i in 0..delta {
+                if let Some(d) = ctx.inputs[i].dfs() {
+                    self.on_dfs_forward(d.sender_out_port, Port(i as u8), now, ctx);
+                }
             }
         }
 

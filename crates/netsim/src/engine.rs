@@ -45,9 +45,11 @@
 //! identically regardless of mode — which is what keeps the modes
 //! bit-identical even on timelines that skip ticks. Transcripts are
 //! byte-identical across modes **and across any shard count**: shard
-//! ranges partition the node space in ascending order, each shard's step
-//! list is sorted, and every heuristic (pool engagement, saturation)
-//! only chooses between observationally-equivalent paths.
+//! ranges partition the node space in ascending order, each shard sorts
+//! the nodes that emitted events before the drain (the step list itself
+//! needs no order: node steps are independent), and every heuristic
+//! (pool engagement, saturation, step order) only chooses between
+//! observationally-equivalent paths.
 
 use crate::ids::{NodeId, Port, PortMask};
 use crate::mutation::MembershipChange;
@@ -231,8 +233,15 @@ const NODES_PER_SHARD: usize = 256;
 /// nodes per shard; smaller frontiers run the same phases inline. This is
 /// the active-fraction heuristic that replaced the old fixed
 /// `PAR_MIN_NODES` cliff: Parallel falls back to sequential event
-/// scheduling on quiet-heavy phases instead of losing to Sparse there.
+/// scheduling on quiet-heavy phases. It does not close the gap to
+/// Sparse there (on a 2-core host Parallel runs about a third slower
+/// than Sparse on the `ring:1024` quiet window; see README.md).
 const PAR_ACTIVE_PER_SHARD: usize = 32;
+
+/// A step list holding at least 1/`DENSE_STEP_SHARE` of its shard's nodes
+/// is stepped in node order (see [`shard_step`]); sparser lists are
+/// stepped in the order their sources listed them.
+const DENSE_STEP_SHARE: usize = 8;
 
 /// One partition of the active frontier: a contiguous node range with its
 /// own scheduling structures, so a tick phase over shard `s` touches no
@@ -255,8 +264,13 @@ struct Shard {
     /// Owned nodes whose `has_input` flag flipped on during the last
     /// scatter/merge — the input half of the coming tick's frontier.
     frontier: Vec<u32>,
-    /// The shard's step list of the current tick (sorted node ids).
+    /// The shard's step list of the current tick: every due node once,
+    /// in the order its sources listed it (node order when dense, see
+    /// [`DENSE_STEP_SHARE`]).
     stepped: Vec<u32>,
+    /// The stepped nodes whose event buffer is non-empty, sorted after
+    /// the step phase — the shard's share of the ascending event drain.
+    emitted: Vec<u32>,
     /// `lanes[d]` — nodes in shard `d` this shard delivered a signal to
     /// during the scatter phase. Written only by this shard (its own
     /// lane, no contention); drained by shard `d` in the merge phase,
@@ -443,6 +457,10 @@ pub struct Engine<A: Automaton> {
     wake_at: Vec<u64>,
     /// Nodes with a non-blank signal delivered for the coming tick.
     has_input: Vec<bool>,
+    /// `queued[n]` — node `n` is already on its shard's step list this
+    /// tick; dedups the frontier, wheel and heap sources. All false
+    /// between ticks.
+    queued: Vec<bool>,
     /// Count of `true` entries in `has_input` (O(1) quiet checks).
     pending_inputs: usize,
     /// Count of non-[`NO_WAKE`] entries in `wake_at`.
@@ -526,6 +544,7 @@ struct ParCtx<A: Automaton> {
     event_bufs: *mut Vec<A::Event>,
     wake_at: *mut u64,
     has_input: *mut bool,
+    queued: *mut bool,
     shards: *mut Shard,
     route_in: *const u32,
     route_out: *const u32,
@@ -540,59 +559,86 @@ struct ParCtx<A: Automaton> {
     tick: u64,
 }
 
+/// Append node `n` to a step list unless `queued` says it is already on.
+///
+/// # Safety
+///
+/// `queued` must point to the engine's per-node flag table, `n` must be a
+/// node id in range, and no other thread may touch `queued[n]` during the
+/// call (in the tick phases: `n` belongs to the calling shard).
+#[inline]
+unsafe fn enqueue(queued: *mut bool, stepped: &mut Vec<u32>, n: u32) {
+    let q = &mut *queued.add(n as usize);
+    if !*q {
+        *q = true;
+        stepped.push(n);
+    }
+}
+
 /// Event phase A (per shard): drain the shard's due frontier — input
-/// worklist, this tick's wheel slot, due overflow timers — into a sorted
-/// step list, step each node against the `in_buf` snapshot, fold wake
-/// re-arms back into the shard's wheel/heap, and clear consumed inputs.
+/// worklist, this tick's wheel slot, due overflow timers — into the step
+/// list (each node once, unsorted unless [`DENSE_STEP_SHARE`] applies),
+/// step each node against the `in_buf` snapshot, fold wake re-arms back
+/// into the shard's wheel/heap, clear consumed inputs, and sort the nodes
+/// that emitted events.
 unsafe fn shard_step<A: Automaton>(ctx: *const (), s: usize) {
     let c = &*ctx.cast::<ParCtx<A>>();
     let sh = &mut *c.shards.add(s);
     let delta = c.delta;
     let tick = c.tick;
-    let blank = A::Sig::default();
     sh.stepped.clear();
-    sh.stepped.append(&mut sh.frontier);
+    for &n in &sh.frontier {
+        enqueue(c.queued, &mut sh.stepped, n);
+    }
+    sh.frontier.clear();
     let slot = (tick % WHEEL as u64) as usize;
-    let mut due = std::mem::take(&mut sh.wheel[slot]);
-    for n in due.drain(..) {
+    for &n in &sh.wheel[slot] {
         if *c.wake_at.add(n as usize) <= tick {
-            sh.stepped.push(n);
+            enqueue(c.queued, &mut sh.stepped, n);
         }
     }
-    sh.wheel[slot] = due;
+    sh.wheel[slot].clear();
     while let Some(&Reverse((at, n))) = sh.timers.peek() {
         if at > tick {
             break;
         }
         sh.timers.pop();
         if *c.wake_at.add(n as usize) <= tick {
-            sh.stepped.push(n);
+            enqueue(c.queued, &mut sh.stepped, n);
         }
     }
-    // Ascending within the shard; shard ranges ascend across shards, so
-    // the concatenated step list is globally sorted (event-drain
-    // determinism across any shard count). Dedup removes input+wake
-    // double entries.
-    sh.stepped.sort_unstable();
-    sh.stepped.dedup();
+    // A step list covering a large share of the shard is re-read from the
+    // `queued` flags in node order: stepping in address order streams the
+    // node, wire and event tables through the cache, which pays once they
+    // outgrow it (million-node floods).
+    if sh.stepped.len() * DENSE_STEP_SHARE >= sh.hi - sh.lo {
+        sh.stepped.clear();
+        for n in sh.lo..sh.hi {
+            if *c.queued.add(n) {
+                sh.stepped.push(n as u32);
+            }
+        }
+    }
     for &n in &sh.stepped {
         let n = n as usize;
-        // Pre-blank the out chunk: saturated ticks leave out_buf dirty,
-        // so the historical all-blank-between-ticks invariant is gone.
-        let outs = std::slice::from_raw_parts_mut(c.out_buf.add(n * delta), delta);
-        for sig in outs.iter_mut() {
-            *sig = A::Sig::default();
-        }
+        *c.queued.add(n) = false;
+        // The out chunk is already blank: scatter blanks every stepped
+        // node's out-slots, and the frontier rebuild blanks the whole
+        // buffer after saturated ticks.
         let old_wake = *c.wake_at.add(n);
         let mut wake = NO_WAKE;
+        let events = &mut *c.event_bufs.add(n);
         let mut step_ctx = StepCtx {
             tick,
             inputs: std::slice::from_raw_parts(c.in_buf.add(n * delta), delta),
-            outputs: outs,
-            events: &mut *c.event_bufs.add(n),
+            outputs: std::slice::from_raw_parts_mut(c.out_buf.add(n * delta), delta),
+            events,
             wake: &mut wake,
         };
         (*c.nodes.add(n)).step(&mut step_ctx);
+        if !step_ctx.events.is_empty() {
+            sh.emitted.push(n as u32);
+        }
         if wake != old_wake {
             match (old_wake == NO_WAKE, wake == NO_WAKE) {
                 (true, false) => sh.armed_delta += 1,
@@ -609,16 +655,15 @@ unsafe fn shard_step<A: Automaton>(ctx: *const (), s: usize) {
             }
         }
         if *c.has_input.add(n) {
-            let ins = std::slice::from_raw_parts_mut(c.in_buf.add(n * delta), delta);
-            for sig in ins.iter_mut() {
-                if *sig != blank {
-                    *sig = A::Sig::default();
-                }
-            }
+            std::slice::from_raw_parts_mut(c.in_buf.add(n * delta), delta).fill(A::Sig::default());
             *c.has_input.add(n) = false;
             sh.pending_delta -= 1;
         }
     }
+    // Ascending within the shard; shard ranges ascend across shards, so
+    // the concatenated drain is in ascending node order for any shard
+    // count.
+    sh.emitted.sort_unstable();
 }
 
 /// Event phase B (per shard): scatter the outputs of the shard's stepped
@@ -873,6 +918,7 @@ impl<A: Automaton> Engine<A> {
                     timers: BinaryHeap::new(),
                     frontier: Vec::new(),
                     stepped: Vec::with_capacity(hi - lo),
+                    emitted: Vec::new(),
                     lanes: (0..s_count).map(|_| Vec::new()).collect(),
                     pending_delta: 0,
                     armed_delta: 0,
@@ -894,6 +940,7 @@ impl<A: Automaton> Engine<A> {
             // Arm every wake for tick 0 (the power-on step).
             wake_at: vec![0; n],
             has_input: vec![false; n],
+            queued: vec![false; n],
             pending_inputs: 0,
             armed: n,
             shards,
@@ -1225,6 +1272,8 @@ impl<A: Automaton> Engine<A> {
         // re-mark pending inputs and re-index armed wakes.
         self.has_input.clear();
         self.has_input.resize(new_n, false);
+        self.queued.clear();
+        self.queued.resize(new_n, false);
         if !self.shards.is_empty() {
             self.chunk = new_n.div_ceil(self.shards.len()).max(1);
         }
@@ -1238,6 +1287,7 @@ impl<A: Automaton> Engine<A> {
             sh.timers.clear();
             sh.frontier.clear();
             sh.stepped.clear();
+            sh.emitted.clear();
             for lane in &mut sh.lanes {
                 lane.clear();
             }
@@ -1507,6 +1557,7 @@ impl<A: Automaton> Engine<A> {
             event_bufs: self.event_bufs.as_mut_ptr(),
             wake_at: self.wake_at.as_mut_ptr(),
             has_input: self.has_input.as_mut_ptr(),
+            queued: self.queued.as_mut_ptr(),
             shards: self.shards.as_mut_ptr(),
             route_in: self.route_in.as_ptr(),
             route_out: self.route_out.as_ptr(),
@@ -1568,8 +1619,8 @@ impl<A: Automaton> Engine<A> {
     /// below saturation): step/scatter/merge phases with barriers, then
     /// counter settlement and the event drain. The pool engages when the
     /// active set justifies dispatch (or fan-out is forced); otherwise
-    /// the same phases run inline — the active-fraction fallback that
-    /// keeps Parallel from ever losing to Sparse on quiet phases.
+    /// the same phases run inline — the active-fraction fallback for
+    /// quiet phases (see [`PAR_ACTIVE_PER_SHARD`]).
     fn tick_event(&mut self, events: &mut Vec<(NodeId, A::Event)>) {
         let s_count = self.shards.len();
         let use_pool = self.pool.is_some()
@@ -1579,16 +1630,15 @@ impl<A: Automaton> Engine<A> {
         self.run_phases(&phases, use_pool);
         self.settle_counters(false);
         self.settle_faults();
-        // Drain events shard by shard: ranges ascend and each step list
-        // is sorted, so the order is ascending node id — identical to
-        // Dense and to every other shard count.
-        for si in 0..s_count {
-            for i in 0..self.shards[si].stepped.len() {
-                let n = self.shards[si].stepped[i] as usize;
-                if !self.event_bufs[n].is_empty() {
-                    events.extend(self.event_bufs[n].drain(..).map(|e| (NodeId(n as u32), e)));
-                }
+        // Drain events shard by shard: ranges ascend and each emitted
+        // list is sorted, so the order is ascending node id — identical
+        // to Dense and to every other shard count.
+        for sh in &mut self.shards {
+            for &n in &sh.emitted {
+                let n = n as usize;
+                events.extend(self.event_bufs[n].drain(..).map(|e| (NodeId(n as u32), e)));
             }
+            sh.emitted.clear();
         }
     }
 
@@ -1611,9 +1661,12 @@ impl<A: Automaton> Engine<A> {
     }
 
     /// Re-derive every shard's worklists from the authoritative tables
-    /// (`has_input`, `wake_at`) after saturated ticks bypassed them. O(N);
-    /// runs only on the saturated→event transition.
+    /// (`has_input`, `wake_at`) after saturated ticks bypassed them, and
+    /// blank `out_buf`, which saturated ticks leave holding their last
+    /// outputs (event ticks step into an out chunk they expect blank).
+    /// O(N·δ); runs only on the saturated→event transition.
     fn rebuild_frontier(&mut self) {
+        self.out_buf.fill(A::Sig::default());
         for sh in &mut self.shards {
             for slot in &mut sh.wheel {
                 slot.clear();
@@ -1934,6 +1987,103 @@ mod tests {
                 run(EngineMode::Parallel, Some(shards)),
                 "dense vs parallel/{shards} shards across saturation"
             );
+        }
+    }
+
+    /// Flood-then-ping automaton. A node floods `hops + 1` on every
+    /// out-port the first time a value below 100 reaches it (the root
+    /// starts with hops 0), then pings `100 + hops` on its first out-port
+    /// only, one tick later. Every non-blank input becomes an event, so a
+    /// stale or repeated output shows in the transcript; a second step
+    /// within one tick emits `u32::MAX`.
+    struct Pinger {
+        is_root: bool,
+        out_ports: Vec<usize>,
+        hops: Option<u32>,
+        ping_at: Option<u64>,
+        last_step: Option<u64>,
+    }
+
+    impl Automaton for Pinger {
+        type Sig = U32Sig;
+        type Event = u32;
+
+        fn step(&mut self, ctx: &mut StepCtx<'_, U32Sig, u32>) {
+            if self.last_step == Some(ctx.tick) {
+                ctx.events.push(u32::MAX);
+            }
+            self.last_step = Some(ctx.tick);
+            let mut first = (self.is_root && self.hops.is_none()).then_some(0);
+            for s in ctx.inputs.iter().filter(|s| s.0 != 0) {
+                ctx.events.push(s.0);
+                if s.0 < 100 && self.hops.is_none() {
+                    first = Some(first.map_or(s.0, |f: u32| f.min(s.0)));
+                }
+            }
+            if let Some(h) = first {
+                self.hops = Some(h);
+                for &o in &self.out_ports {
+                    ctx.outputs[o] = U32Sig(h + 1);
+                }
+                self.ping_at = Some(ctx.tick + 1);
+            } else if self.ping_at == Some(ctx.tick) {
+                ctx.outputs[self.out_ports[0]] = U32Sig(100 + self.hops.unwrap_or(0));
+                self.ping_at = None;
+            }
+            if let Some(at) = self.ping_at {
+                ctx.request_restep_at(at);
+            }
+        }
+    }
+
+    #[test]
+    fn event_ticks_after_saturation_step_each_node_once_into_blank_outputs() {
+        // The flood crosses the saturation threshold; nodes flooded on
+        // the last saturated tick ping on one port during the first event
+        // tick, so out-slots left over from the saturated tick would be
+        // re-sent. A node first reached through its parent's first
+        // out-port gets the parent's ping on the tick its own ping is
+        // due, so it sits on the input frontier and on the wheel at once
+        // — early in the flood, while step lists are still short enough
+        // to be stepped in listed order.
+        let topo = generators::random_sc(256, 3, 5);
+        let run = |mode, shards| {
+            let mut eng =
+                Engine::with_root_sharded(&topo, mode, NodeId(0), shards, &mut |meta| Pinger {
+                    is_root: meta.is_root,
+                    out_ports: meta.out_connected.iter().map(|p| p.idx()).collect(),
+                    hops: None,
+                    ping_at: None,
+                    last_step: None,
+                });
+            let mut events = Vec::new();
+            let mut emit_after_saturation = false;
+            let mut was_saturated = false;
+            for _ in 0..60 {
+                let saturated = eng.pending_inputs * 2 >= eng.num_nodes();
+                eng.tick(&mut events);
+                if was_saturated && !saturated && eng.pending_inputs > 0 {
+                    emit_after_saturation = true;
+                }
+                was_saturated = saturated;
+                if eng.is_quiet() {
+                    break;
+                }
+            }
+            assert!(eng.is_quiet());
+            (events, emit_after_saturation)
+        };
+        let (base, _) = run(EngineMode::Dense, None);
+        assert!(!base.iter().any(|&(_, v)| v == u32::MAX));
+        assert!(base.iter().any(|&(_, v)| v >= 100), "pings were delivered");
+        assert_eq!(base, run(EngineMode::Sparse, None).0, "dense vs sparse");
+        for shards in [1usize, 2, 3, 7] {
+            let (got, emit_after_saturation) = run(EngineMode::Parallel, Some(shards));
+            assert!(
+                emit_after_saturation,
+                "{shards} shards: an event tick right after a saturated one emits"
+            );
+            assert_eq!(base, got, "dense vs parallel/{shards} shards");
         }
     }
 

@@ -53,6 +53,9 @@ impl SnakeKind {
     /// The growing kinds (these flood and are subject to KILL tokens).
     pub const GROWING: [SnakeKind; 3] = [SnakeKind::Ig, SnakeKind::Og, SnakeKind::Bg];
 
+    /// The dying kinds (these consume themselves to mark a path).
+    pub const DYING: [SnakeKind; 3] = [SnakeKind::Id, SnakeKind::Od, SnakeKind::Bd];
+
     /// Is this a growing snake kind?
     #[inline]
     pub fn is_growing(self) -> bool {
@@ -64,19 +67,23 @@ impl SnakeKind {
     pub fn is_dying(self) -> bool {
         !self.is_growing()
     }
-}
 
-impl std::fmt::Display for SnakeKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+    /// The paper's two-letter name of this kind ("IG", "OD", …).
+    pub fn name(self) -> &'static str {
+        match self {
             SnakeKind::Ig => "IG",
             SnakeKind::Og => "OG",
             SnakeKind::Id => "ID",
             SnakeKind::Od => "OD",
             SnakeKind::Bg => "BG",
             SnakeKind::Bd => "BD",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for SnakeKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 
