@@ -1168,18 +1168,19 @@ impl Automaton for ProtocolNode {
         }
 
         // Phase 2: growing-snake characters (ascending port order ⇒ the
-        // paper's lowest-in-port tie-break).
+        // paper's lowest-in-port tie-break). A kind absent from every
+        // in-port is never decoded.
         if !killed && ch.any_snake(&SnakeKind::GROWING) {
             for i in 0..delta {
                 let p = Port(i as u8);
                 let sig = ctx.inputs[i];
-                if let Some(c) = sig.snake(SnakeKind::Ig) {
+                if let Some(c) = ch.snake_in(sig, SnakeKind::Ig) {
                     self.on_ig(p, c, now, ctx);
                 }
-                if let Some(c) = sig.snake(SnakeKind::Og) {
+                if let Some(c) = ch.snake_in(sig, SnakeKind::Og) {
                     self.on_og(p, c, now, ctx);
                 }
-                if let Some(c) = sig.snake(SnakeKind::Bg) {
+                if let Some(c) = ch.snake_in(sig, SnakeKind::Bg) {
                     self.on_bg(p, c, now, ctx);
                 }
             }
@@ -1190,13 +1191,13 @@ impl Automaton for ProtocolNode {
             for i in 0..delta {
                 let p = Port(i as u8);
                 let sig = ctx.inputs[i];
-                if let Some(c) = sig.snake(SnakeKind::Id) {
+                if let Some(c) = ch.snake_in(sig, SnakeKind::Id) {
                     self.on_id(p, c, now, ctx);
                 }
-                if let Some(c) = sig.snake(SnakeKind::Od) {
+                if let Some(c) = ch.snake_in(sig, SnakeKind::Od) {
                     self.on_od(p, c, now, ctx);
                 }
-                if let Some(c) = sig.snake(SnakeKind::Bd) {
+                if let Some(c) = ch.snake_in(sig, SnakeKind::Bd) {
                     self.on_bd(p, c, now, ctx);
                 }
             }
@@ -1268,5 +1269,26 @@ impl Automaton for ProtocolNode {
             return;
         }
         self.on_rewire(meta);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gtd_snake::DwellQueue;
+    use std::mem::size_of;
+
+    #[test]
+    fn per_node_layout_stays_compact() {
+        // Six dwell lanes sit inline in every processor; at a million
+        // nodes each byte of lane header is a megabyte of engine state.
+        // The inline front deadline must not grow the header.
+        assert_eq!(size_of::<DwellQueue<GrowEmit>>(), 16);
+        assert_eq!(size_of::<DwellQueue<SnakeChar>>(), 16);
+        assert!(
+            size_of::<ProtocolNode>() <= 264,
+            "{}",
+            size_of::<ProtocolNode>()
+        );
     }
 }

@@ -77,6 +77,8 @@ pub enum PreconditionViolation {
     /// termination (only [`StartBehavior::GtdRoot`] initiates the DFS
     /// whose `Terminated` event ends a session run).
     StartNotRunnable(StartBehavior),
+    /// [`GtdSession::run_repeated`] was asked for zero rounds.
+    ZeroRounds,
 }
 
 impl std::fmt::Display for PreconditionViolation {
@@ -94,6 +96,7 @@ impl std::fmt::Display for PreconditionViolation {
             PreconditionViolation::StartNotRunnable(start) => {
                 write!(f, "start behaviour {start:?} cannot terminate a GTD run")
             }
+            PreconditionViolation::ZeroRounds => write!(f, "zero rounds requested"),
         }
     }
 }
@@ -834,9 +837,12 @@ impl<'a> GtdSession<'a> {
     /// bookkeeping, and the network is mapped again — the
     /// dynamic-remapping extension motivated by the paper's §1 ("the
     /// network topology or size might change…"). Determinism implies all
-    /// rounds produce identical maps, which is asserted.
+    /// rounds produce identical maps, which is asserted. Zero rounds is
+    /// [`PreconditionViolation::ZeroRounds`].
     pub fn run_repeated(mut self, rounds: usize) -> Result<Vec<RunOutcome>, GtdError> {
-        assert!(rounds >= 1);
+        if rounds == 0 {
+            return Err(GtdError::Precondition(PreconditionViolation::ZeroRounds));
+        }
         self.check_preconditions()?;
         let budget = self.effective_budget(self.topo);
         let mut tl = self.timeline(0);
@@ -1447,6 +1453,22 @@ mod tests {
                 StartBehavior::Passive
             ))
         );
+    }
+
+    #[test]
+    fn zero_rounds_is_rejected_up_front() {
+        let topo = generators::ring(4);
+        let err = GtdSession::on(&topo).run_repeated(0).unwrap_err();
+        assert_eq!(
+            err,
+            GtdError::Precondition(PreconditionViolation::ZeroRounds)
+        );
+        assert_eq!(
+            err.to_string(),
+            "precondition violated: zero rounds requested"
+        );
+        // One round still runs.
+        assert_eq!(GtdSession::on(&topo).run_repeated(1).unwrap().len(), 1);
     }
 
     #[test]

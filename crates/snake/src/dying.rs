@@ -72,6 +72,7 @@ impl DyingPassage {
     }
 
     /// Kind of the characters this passage emits.
+    #[inline]
     pub fn out_kind(&self) -> SnakeKind {
         self.out_kind
     }
@@ -79,6 +80,7 @@ impl DyingPassage {
     /// The caller has consumed a head that arrived through in-port `pred`
     /// and carried successor out-port `succ`. (Mark setting is the caller's
     /// job — which pair depends on the processor's role.)
+    #[inline]
     pub fn begin(&mut self, pred: Port, succ: Port) {
         assert_eq!(self.state, DState::Idle, "dying passage already active");
         self.state = DState::AwaitFirst;
@@ -89,6 +91,7 @@ impl DyingPassage {
     /// Feed the next stream character (caller guarantees it arrived through
     /// the predecessor in-port — asserted). Returns `true` when this call
     /// identified the processor as the path endpoint.
+    #[inline]
     pub fn feed(&mut self, port: Port, c: SnakeChar, now: u64) -> bool {
         assert_eq!(Some(port), self.pred, "dying character arrived off-path");
         match (self.state, c) {
@@ -123,52 +126,62 @@ impl DyingPassage {
     }
 
     /// Pop the next emission due at `now`.
+    #[inline]
     pub fn due(&mut self, now: u64) -> Option<DyingEmit> {
         let port = self.succ?;
         self.q.pop_due(now).map(|c| DyingEmit { c, port })
     }
 
     /// Earliest pending emission deadline.
+    #[inline]
     pub fn next_deadline(&self) -> Option<u64> {
         self.q.next_deadline()
     }
 
     /// Has the snake arrived (head consumed) on this lane?
+    #[inline]
     pub fn is_active(&self) -> bool {
         self.state != DState::Idle
     }
 
     /// Has the whole snake passed (tail scheduled/sent)?
+    #[inline]
     pub fn is_done(&self) -> bool {
         self.state == DState::Done
     }
 
     /// Was this processor the endpoint of the marked path?
+    #[inline]
     pub fn is_endpoint(&self) -> bool {
         self.endpoint
     }
 
     /// The predecessor in-port recorded at head consumption.
+    #[inline]
     pub fn pred(&self) -> Option<Port> {
         self.pred
     }
 
     /// The successor out-port recorded at head consumption.
+    #[inline]
     pub fn succ(&self) -> Option<Port> {
         self.succ
     }
 
     /// Any scheduled emissions pending?
+    #[inline]
     pub fn has_pending(&self) -> bool {
         !self.q.is_empty()
     }
 
     /// Number of characters dwelling here (E5 census).
+    #[inline]
     pub fn pending_len(&self) -> usize {
         self.q.len()
     }
 
     /// Reset for the next RCA/BCA (performed alongside UNMARK).
+    #[inline]
     pub fn reset(&mut self) {
         self.state = DState::Idle;
         self.pred = None;
@@ -178,6 +191,7 @@ impl DyingPassage {
     }
 
     /// True when indistinguishable from a factory-fresh passage.
+    #[inline]
     pub fn is_pristine(&self) -> bool {
         self.state == DState::Idle
             && self.pred.is_none()

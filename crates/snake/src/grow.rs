@@ -71,12 +71,14 @@ impl GrowRelay {
     }
 
     /// The snake kind this relay handles.
+    #[inline]
     pub fn kind(&self) -> SnakeKind {
         self.kind
     }
 
     /// Become the initiator: mark self visited (no parent) and schedule the
     /// baby snake — heads this tick, tail next tick (§2.3.2, first rule).
+    #[inline]
     pub fn start(&mut self, now: u64) {
         assert!(!self.visited, "initiator must start on a clean relay");
         self.visited = true;
@@ -91,6 +93,7 @@ impl GrowRelay {
     /// tree's origin and must ignore OG characters flowing back to it, but
     /// its emissions replay the converted stream rather than fresh heads
     /// (feed those through [`GrowRelay::relay`]).
+    #[inline]
     pub fn mark_initiator(&mut self) {
         assert!(!self.visited, "initiator must start on a clean relay");
         self.visited = true;
@@ -110,6 +113,7 @@ impl GrowRelay {
     /// paper's "receives … for the first time" rule; the restriction only
     /// bites on post-KILL stragglers, preventing a headless orphan stream
     /// from re-marking erased processors and flooding forever (DESIGN.md §5).
+    #[inline]
     pub fn accept(&mut self, port: Port, c: SnakeChar) -> Option<SnakeChar> {
         if !self.visited {
             if !c.is_head() {
@@ -136,6 +140,7 @@ impl GrowRelay {
     /// [`DwellQueue::push_bounded`]); the dropped stream is mutation-era
     /// junk by construction, and the session-level remap driver recovers
     /// the disturbed run.
+    #[inline]
     pub fn relay(&mut self, c: SnakeChar, now: u64) {
         match c {
             SnakeChar::Tail => {
@@ -156,48 +161,57 @@ impl GrowRelay {
     }
 
     /// Pop the next emission due at `now`, if any.
+    #[inline]
     pub fn due(&mut self, now: u64) -> Option<GrowEmit> {
         self.q.pop_due(now)
     }
 
     /// Earliest pending emission deadline (restep scheduling).
+    #[inline]
     pub fn next_deadline(&self) -> Option<u64> {
         self.q.next_deadline()
     }
 
     /// Has this processor been visited by (or initiated) this snake kind?
+    #[inline]
     pub fn is_marked(&self) -> bool {
         self.visited
     }
 
     /// The parent in-port mark, if any (breadth-first tokens follow these).
+    #[inline]
     pub fn parent(&self) -> Option<Port> {
         self.parent
     }
 
     /// Did this relay initiate the current snake?
+    #[inline]
     pub fn is_initiator(&self) -> bool {
         self.initiator
     }
 
     /// Any scheduled emissions pending?
+    #[inline]
     pub fn has_pending(&self) -> bool {
         !self.q.is_empty()
     }
 
     /// Number of characters currently dwelling here (E5 census).
+    #[inline]
     pub fn pending_len(&self) -> usize {
         self.q.len()
     }
 
     /// Scheduled emissions refused at the capacity bound over this relay's
     /// lifetime (see [`GrowRelay::relay`]). 0 on clean runs.
+    #[inline]
     pub fn dropped(&self) -> u64 {
         self.q.dropped()
     }
 
     /// KILL-token erasure: "completely eradicate all traces of growing
     /// snake characters … both characters and markings" (§4.2.1 step 4).
+    #[inline]
     pub fn erase(&mut self) {
         self.visited = false;
         self.parent = None;
@@ -207,6 +221,7 @@ impl GrowRelay {
 
     /// True when indistinguishable from a factory-fresh relay — the state
     /// Lemma 4.2 promises after every RCA/BCA.
+    #[inline]
     pub fn is_pristine(&self) -> bool {
         !self.visited && self.parent.is_none() && !self.initiator && self.q.is_empty()
     }

@@ -50,6 +50,7 @@ impl LoopMarks {
     /// Set the predecessor in-port of a pair. Panics if already set — a
     /// processor appears at most twice on the loop (§2.4, Definition 2.1),
     /// once per pair.
+    #[inline]
     pub fn set_pred(&mut self, pair: MarkPair, p: Port) {
         let slot = match pair {
             MarkPair::First => &mut self.pred1,
@@ -60,6 +61,7 @@ impl LoopMarks {
     }
 
     /// Set the successor out-port of a pair. Panics if already set.
+    #[inline]
     pub fn set_succ(&mut self, pair: MarkPair, p: Port) {
         let slot = match pair {
             MarkPair::First => &mut self.succ1,
@@ -70,6 +72,7 @@ impl LoopMarks {
     }
 
     /// Predecessor of a pair.
+    #[inline]
     pub fn pred(&self, pair: MarkPair) -> Option<Port> {
         match pair {
             MarkPair::First => self.pred1,
@@ -78,6 +81,7 @@ impl LoopMarks {
     }
 
     /// Successor of a pair.
+    #[inline]
     pub fn succ(&self, pair: MarkPair) -> Option<Port> {
         match pair {
             MarkPair::First => self.succ1,
@@ -94,6 +98,7 @@ impl LoopMarks {
     /// * both full pairs set → alternation decides which pair is "appropriate";
     /// * exactly one full pair set → that pair;
     /// * the root pattern (pred #1 + succ #2 only) → #1 in, #2 out.
+    #[inline]
     pub fn route(&self, arrival: Port) -> Option<Route> {
         let full1 = self.pred1.zip(self.succ1);
         let full2 = self.pred2.zip(self.succ2);
@@ -128,6 +133,7 @@ impl LoopMarks {
     }
 
     /// Advance the alternation after forwarding a loop token along `route`.
+    #[inline]
     pub fn advance(&mut self, _route: Route) {
         if self.pred1.zip(self.succ1).is_some() && self.pred2.zip(self.succ2).is_some() {
             self.expect_second = !self.expect_second;
@@ -137,6 +143,7 @@ impl LoopMarks {
     /// UNMARK pass: route the token, then "forget those predecessor and
     /// successor designations" (§4.2.1 step 5) for the pair used. The root
     /// pattern erases both its ports.
+    #[inline]
     pub fn unmark(&mut self, arrival: Port) -> Option<Route> {
         let route = self.route(arrival)?;
         let root_pattern = self.succ1.is_none()
@@ -166,21 +173,25 @@ impl LoopMarks {
 
     /// Erase everything unconditionally (used by the loop *creator*, which
     /// absorbs the UNMARK rather than forwarding it).
+    #[inline]
     pub fn clear(&mut self) {
         *self = LoopMarks::default();
     }
 
     /// Are any marks set?
+    #[inline]
     pub fn is_marked(&self) -> bool {
         self.pred1.is_some() || self.succ1.is_some() || self.pred2.is_some() || self.succ2.is_some()
     }
 
     /// True when fully unmarked with reset alternation (Lemma 4.2 state).
+    #[inline]
     pub fn is_clear(&self) -> bool {
         !self.is_marked()
     }
 
     /// True when indistinguishable from factory-fresh.
+    #[inline]
     pub fn is_pristine(&self) -> bool {
         *self == LoopMarks::default()
     }

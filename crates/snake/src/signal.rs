@@ -344,6 +344,17 @@ impl Channels {
         kinds.iter().any(|k| self.0.snakes[k.idx()] != 0)
     }
 
+    /// `sig`'s character of `kind`, decoded only when `kind` is on some
+    /// wire of the union — an absent kind costs no decode.
+    #[inline]
+    pub fn snake_in(&self, sig: Signal, kind: SnakeKind) -> Option<SnakeChar> {
+        if self.0.snakes[kind.idx()] != 0 {
+            sig.snake(kind)
+        } else {
+            None
+        }
+    }
+
     /// Is a KILL token on some wire?
     #[inline]
     pub fn kill(&self) -> bool {
@@ -551,6 +562,9 @@ mod tests {
         assert!(!u.any_snake(&SnakeKind::GROWING));
         assert!(u.unmark() && u.dfs() && u.reset());
         assert!(!u.kill() && !u.loop_tok());
+        assert_eq!(u.snake_in(a, SnakeKind::Id), Some(SnakeChar::Tail));
+        assert_eq!(u.snake_in(b, SnakeKind::Id), None);
+        assert_eq!(u.snake_in(a, SnakeKind::Ig), None);
         let none = Channels::of(&[Signal::blank(); 3]);
         assert!(!none.any_snake(&SnakeKind::ALL));
         assert!(!(none.kill() || none.unmark() || none.reset() || none.loop_tok() || none.dfs()));

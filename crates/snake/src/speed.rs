@@ -23,16 +23,24 @@
 //!
 //! ## Storage
 //!
-//! The queue is backed by a lazily-allocated **fixed-capacity slab**: one
+//! The front deadline lives inline in the queue (`u64::MAX` when the
+//! queue is empty), so the questions a step asks of every lane — is it
+//! empty, when is its next emission, is that emission due yet — are
+//! answered without leaving the processor's own struct.
+//!
+//! Everything else sits in a lazily-allocated **fixed-capacity slab**: one
 //! heap block of exactly [`DwellQueue::HARD_CAP`] slots, allocated on the
 //! first push, retained across [`DwellQueue::clear`], and never resized. An
-//! idle lane costs one pointer; an active lane costs one allocation for the
-//! lifetime of the processor — there is no growable `VecDeque` to
-//! reallocate mid-protocol, which is what keeps the steady-state tick loop
-//! allocation-free at million-node scale. Deadlines are stored as `u16`
-//! offsets from a slab-local base tick (rebased on every pop, so the live
-//! span stays within a few dwell windows) — 4 bytes per slot of
-//! bookkeeping instead of a 16-byte `(u64, T)` tuple.
+//! idle lane costs the 16-byte queue header; an active lane costs one
+//! allocation for the lifetime of the processor — there is no growable
+//! `VecDeque` to reallocate mid-protocol, which is what keeps the
+//! steady-state tick loop allocation-free at million-node scale. Slot
+//! deadlines are stored as `u16` offsets from the inline front (rebased
+//! on every pop, so the front's offset is always 0 and the live span stays
+//! within a few dwell windows) — 4 bytes per slot of bookkeeping instead
+//! of a 16-byte `(u64, T)` tuple. The lifetime drop counter lives in the
+//! slab too: a drop only happens when the queue is full, so a queue that
+//! never allocated has never dropped anything.
 
 /// Ticks a speed-1 construct dwells between reception and re-emission.
 pub const SPEED1_DWELL: u64 = 2;
@@ -42,15 +50,20 @@ pub const SPEED3_DWELL: u64 = 0;
 
 const CAP: usize = 16;
 
+/// Inline front deadline of an empty queue.
+const EMPTY: u64 = u64::MAX;
+
 /// The lazily-allocated backing store: a bounded ring of `CAP` slots.
 #[derive(Clone, Debug)]
 struct Slab<T> {
-    /// Absolute tick that offset 0 encodes; rebased so the front entry's
-    /// offset is always 0 after a pop.
-    base: u64,
+    /// Scheduled emissions refused at [`DwellQueue::HARD_CAP`] (see
+    /// [`DwellQueue::push_bounded`]); never reset, surfaced per-run as the
+    /// `dropped` statistic.
+    dropped: u64,
     head: u8,
     len: u8,
-    /// Per-slot deadline as `base + offs[slot]`.
+    /// Per-slot deadline as `front + offs[slot]`; the front slot's offset
+    /// is always 0.
     offs: [u16; CAP],
     items: [T; CAP],
 }
@@ -58,7 +71,7 @@ struct Slab<T> {
 impl<T: Copy + Default> Slab<T> {
     fn new() -> Self {
         Slab {
-            base: 0,
+            dropped: 0,
             head: 0,
             len: 0,
             offs: [0; CAP],
@@ -69,11 +82,6 @@ impl<T: Copy + Default> Slab<T> {
     #[inline]
     fn slot(&self, i: usize) -> usize {
         (self.head as usize + i) % CAP
-    }
-
-    #[inline]
-    fn deadline_at(&self, i: usize) -> u64 {
-        self.base + self.offs[self.slot(i)] as u64
     }
 }
 
@@ -86,18 +94,16 @@ impl<T: Copy + Default> Slab<T> {
 /// counter; slab identity and dead slots are ignored.
 #[derive(Clone, Debug)]
 pub struct DwellQueue<T> {
+    /// Deadline of the front item, or [`EMPTY`].
+    front: u64,
     slab: Option<Box<Slab<T>>>,
-    /// Scheduled emissions refused at [`DwellQueue::HARD_CAP`] (see
-    /// [`DwellQueue::push_bounded`]); never reset, surfaced per-run as the
-    /// `dropped` statistic.
-    dropped: u64,
 }
 
 impl<T> Default for DwellQueue<T> {
     fn default() -> Self {
         DwellQueue {
+            front: EMPTY,
             slab: None,
-            dropped: 0,
         }
     }
 }
@@ -114,14 +120,22 @@ impl<T: Copy + Default> DwellQueue<T> {
         Self::default()
     }
 
+    #[inline]
+    fn slab_mut(&mut self) -> &mut Slab<T> {
+        self.slab.get_or_insert_with(|| Box::new(Slab::new()))
+    }
+
     /// Schedule `item` for emission at `deadline`.
+    #[inline]
     pub fn push(&mut self, deadline: u64, item: T) {
-        let slab = self.slab.get_or_insert_with(|| Box::new(Slab::new()));
-        if slab.len == 0 {
-            slab.base = deadline;
-            slab.head = 0;
-        } else {
-            let last = slab.base + slab.offs[slab.slot(slab.len as usize - 1)] as u64;
+        assert!(deadline != EMPTY, "DwellQueue deadline out of range");
+        if self.front == EMPTY {
+            self.front = deadline;
+        }
+        let front = self.front;
+        let slab = self.slab_mut();
+        if slab.len > 0 {
+            let last = front + slab.offs[slab.slot(slab.len as usize - 1)] as u64;
             assert!(
                 deadline >= last,
                 "DwellQueue deadlines must be non-decreasing ({deadline} < {last})"
@@ -133,7 +147,7 @@ impl<T: Copy + Default> DwellQueue<T> {
         );
         // The front offset is rebased to 0 on every pop, so the live span
         // is a few dwell windows at most — u16 is generous.
-        let off = deadline - slab.base;
+        let off = deadline - front;
         assert!(off <= u16::MAX as u64, "DwellQueue deadline span overflow");
         let slot = slab.slot(slab.len as usize);
         slab.offs[slot] = off as u16;
@@ -157,9 +171,10 @@ impl<T: Copy + Default> DwellQueue<T> {
     /// recovers the disturbed epoch), while keeping the automaton honest
     /// about its constant size. Every refusal increments
     /// [`DwellQueue::dropped`] so lossy-cap behavior is observable.
+    #[inline]
     pub fn push_bounded(&mut self, deadline: u64, item: T) -> bool {
         if self.len() >= Self::HARD_CAP {
-            self.dropped += 1;
+            self.record_drops(1);
             return false;
         }
         self.push(deadline, item);
@@ -168,60 +183,74 @@ impl<T: Copy + Default> DwellQueue<T> {
 
     /// Record `k` scheduled emissions refused without entering the queue
     /// (the all-or-nothing tail-extension rule drops pairs up front).
+    #[inline]
     pub fn record_drops(&mut self, k: u64) {
-        self.dropped += k;
+        if k > 0 {
+            self.slab_mut().dropped += k;
+        }
     }
 
     /// Total scheduled emissions refused at capacity over this queue's
     /// lifetime. 0 on clean (mutation-free) runs.
+    #[inline]
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.slab.as_deref().map_or(0, |s| s.dropped)
     }
 
     /// Pop the next item whose deadline is ≤ `now`, if any.
+    #[inline]
     pub fn pop_due(&mut self, now: u64) -> Option<T> {
-        let slab = self.slab.as_deref_mut()?;
-        if slab.len == 0 || slab.base + slab.offs[slab.head as usize] as u64 > now {
+        if self.front > now || self.front == EMPTY {
             return None;
         }
+        let slab = self.slab.as_deref_mut().expect("a front implies a slab");
         let item = slab.items[slab.head as usize];
         slab.head = ((slab.head as usize + 1) % CAP) as u8;
         slab.len -= 1;
+        if slab.len == 0 {
+            self.front = EMPTY;
+            return Some(item);
+        }
         // Rebase so the new front sits at offset 0; keeps every live
-        // offset within a dwell-window span of the base however long the
+        // offset within a dwell-window span of the front however long the
         // queue stays continuously occupied.
-        if slab.len > 0 {
-            let d = slab.offs[slab.head as usize];
-            if d > 0 {
-                slab.base += d as u64;
-                for i in 0..slab.len as usize {
-                    let s = (slab.head as usize + i) % CAP;
-                    slab.offs[s] -= d;
-                }
+        let d = slab.offs[slab.head as usize];
+        if d > 0 {
+            self.front += d as u64;
+            for i in 0..slab.len as usize {
+                let s = slab.slot(i);
+                slab.offs[s] -= d;
             }
         }
         Some(item)
     }
 
     /// Earliest pending deadline.
+    #[inline]
     pub fn next_deadline(&self) -> Option<u64> {
-        let slab = self.slab.as_deref()?;
-        (slab.len > 0).then(|| slab.deadline_at(0))
+        (self.front != EMPTY).then_some(self.front)
     }
 
     /// Number of queued items.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.slab.as_deref().map_or(0, |s| s.len as usize)
+        match self.slab.as_deref() {
+            Some(s) if self.front != EMPTY => s.len as usize,
+            _ => 0,
+        }
     }
 
     /// Is the queue empty?
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.front == EMPTY
     }
 
     /// Drop everything (KILL-token erasure). The slab is retained for
     /// reuse; the drop counter is a lifetime statistic and survives too.
+    #[inline]
     pub fn clear(&mut self) {
+        self.front = EMPTY;
         if let Some(slab) = self.slab.as_deref_mut() {
             slab.len = 0;
             slab.head = 0;
@@ -231,17 +260,19 @@ impl<T: Copy + Default> DwellQueue<T> {
     /// Iterate over pending `(deadline, item)` pairs (diagnostics).
     pub fn iter(&self) -> impl Iterator<Item = (u64, T)> + '_ {
         let slab = self.slab.as_deref();
-        let len = slab.map_or(0, |s| s.len as usize);
-        (0..len).map(move |i| {
+        (0..self.len()).map(move |i| {
             let s = slab.expect("len > 0 implies a slab");
-            (s.deadline_at(i), s.items[s.slot(i)])
+            let slot = s.slot(i);
+            (self.front + s.offs[slot] as u64, s.items[slot])
         })
     }
 }
 
 impl<T: Copy + Default + PartialEq> PartialEq for DwellQueue<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.dropped == other.dropped && self.len() == other.len() && self.iter().eq(other.iter())
+        self.dropped() == other.dropped()
+            && self.len() == other.len()
+            && self.iter().eq(other.iter())
     }
 }
 
@@ -343,6 +374,90 @@ mod tests {
         assert_eq!(a, b);
         b.pop_due(5);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn matches_a_naive_model_over_random_operations() {
+        // Differential test against the obvious `VecDeque<(deadline,
+        // item)>` plus a drop counter. Pushes stay within a few ticks of
+        // the last live deadline (streams cannot overtake themselves) but
+        // start wherever the clock is once the queue drains, and the clock
+        // sometimes jumps a million ticks — so the ring wraps, the front
+        // rebases, the queue overflows HARD_CAP, and deadlines run far
+        // beyond any u16 offset.
+        use gtd_netsim::rng::DetRng;
+        use std::collections::VecDeque;
+        const CAP: usize = DwellQueue::<u32>::HARD_CAP;
+        for seed in 0..64 {
+            let mut rng = DetRng::seed_from_u64(seed);
+            let mut q = DwellQueue::new();
+            let mut model: VecDeque<(u64, u32)> = VecDeque::new();
+            let mut dropped = 0u64;
+            let mut now = 0u64;
+            for step in 0..2_000u32 {
+                let ctx = format!("seed {seed}, step {step}");
+                let deadline = model.back().map_or(now, |&(d, _)| d) + rng.next_u64() % 4;
+                match rng.random_range(0..100) {
+                    0..=29 if model.len() < CAP => {
+                        q.push(deadline, step);
+                        model.push_back((deadline, step));
+                    }
+                    0..=49 => {
+                        let kept = q.push_bounded(deadline, step);
+                        assert_eq!(kept, model.len() < CAP, "{ctx}");
+                        if kept {
+                            model.push_back((deadline, step));
+                        } else {
+                            dropped += 1;
+                        }
+                    }
+                    50..=79 => {
+                        let want = match model.front() {
+                            Some(&(d, _)) if d <= now => model.pop_front().map(|(_, x)| x),
+                            _ => None,
+                        };
+                        assert_eq!(q.pop_due(now), want, "{ctx}");
+                    }
+                    80..=84 => {
+                        let k = rng.next_u64() % 3;
+                        q.record_drops(k);
+                        dropped += k;
+                    }
+                    85..=87 => {
+                        q.clear();
+                        model.clear();
+                    }
+                    88..=97 => now += rng.next_u64() % 3,
+                    _ => now += 1_000_000,
+                }
+                assert_eq!(q.next_deadline(), model.front().map(|&(d, _)| d), "{ctx}");
+                assert_eq!(q.len(), model.len(), "{ctx}");
+                assert_eq!(q.is_empty(), model.is_empty(), "{ctx}");
+                assert_eq!(q.dropped(), dropped, "{ctx}");
+                assert!(q.iter().eq(model.iter().copied()), "{ctx}");
+                // A queue rebuilt from the model is equal; one that
+                // differs in a single item, one deadline or the drop
+                // count is not.
+                let mut same = DwellQueue::new();
+                for &(d, x) in &model {
+                    same.push(d, x);
+                }
+                same.record_drops(dropped);
+                assert_eq!(q, same, "{ctx}");
+                let mut fewer_drops = same.clone();
+                fewer_drops.record_drops(1);
+                assert_ne!(q, fewer_drops, "{ctx}");
+                if let Some(&(d, x)) = model.back() {
+                    let mut off = DwellQueue::new();
+                    for &(d2, x2) in model.iter().take(model.len() - 1) {
+                        off.push(d2, x2);
+                    }
+                    off.push(d + 1, x);
+                    off.record_drops(dropped);
+                    assert_ne!(q, off, "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]
